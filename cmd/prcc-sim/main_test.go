@@ -67,6 +67,9 @@ func TestRunErrors(t *testing.T) {
 		{"reads with spaces", []string{"-spaces", "2", "-reads", "0.5", "-ops", "20"}},
 		{"negative spaces", []string{"-spaces", "-3"}},
 		{"bad zipf", []string{"-spaces", "2", "-zipf", "0.5", "-ops", "20"}},
+		{"ring too small", []string{"-topology", "ring", "-n", "2"}},
+		{"sharded ring too small", []string{"-spaces", "2", "-n", "2"}},
+		{"random too small", []string{"-topology", "random", "-n", "2"}},
 	}
 	for _, tc := range cases {
 		if err := run(tc.args); err == nil {

@@ -41,8 +41,10 @@ func (b *bitset) has(idx int) bool {
 	return b.words[w]&(1<<(uint(idx)%64)) != 0
 }
 
-// orWith adds every element of other to b.
-func (b *bitset) orWith(other *bitset) {
+// orWith adds every element of other to b. prev, the already-absorbed
+// set that lets pset skip shared subtrees, buys nothing on flat words and
+// is ignored.
+func (b *bitset) orWith(other, _ *bitset) {
 	if len(other.words) > len(b.words) {
 		nw := make([]uint64, len(other.words))
 		copy(nw, b.words)

@@ -47,7 +47,7 @@ func (t *tracker[S]) ExportCheckpoint(j sharegraph.ReplicaID) *ReplicaCheckpoint
 	defer t.mu.Unlock()
 	return &ReplicaCheckpoint{
 		Replica: j,
-		Issued:  len(t.updates),
+		Issued:  t.updates.len(),
 		applied: t.applied[int(j)].snapshot(),
 		known:   t.knownPast[int(j)].snapshot(),
 	}
@@ -71,13 +71,16 @@ func (t *tracker[S]) RestoreCheckpoint(j sharegraph.ReplicaID, ck *ReplicaCheckp
 	// checkpoint again after a second crash.
 	t.applied[int(j)] = ap.snapshot()
 	t.knownPast[int(j)] = kn.snapshot()
+	// The rolled-back knownPast may lack causal pasts merged since the
+	// checkpoint, so they can no longer stand as prev for a merge.
+	t.merged[int(j)] = nil
 	// missing[j] = {updates on registers j stores} ∖ applied[j]. A full
 	// recompute is O(updates issued), paid only on restart. The rolled-
 	// back applied set also uncovers j's own post-checkpoint issues;
 	// replaying them reports OnApply, which requires them missing here.
 	m := t.newSet()
-	for id, u := range t.updates {
-		if t.g.StoresRegister(j, u.reg) && !t.applied[int(j)].has(id) {
+	for id := 0; id < t.updates.len(); id++ {
+		if t.g.StoresRegister(j, t.updates.at(UpdateID(id)).reg) && !t.applied[int(j)].has(id) {
 			m.set(id)
 		}
 	}

@@ -21,17 +21,16 @@ func (t *tracker[S]) OnClientAccess(c sharegraph.ClientID, i sharegraph.ReplicaI
 		})
 		return true
 	})
-	past.orWith(t.knownPast[int(i)])
+	past.orWith(t.knownPast[int(i)], t.none)
 }
 
 func (t *tracker[S]) OnClientWrite(c sharegraph.ClientID, i sharegraph.ReplicaID, x sharegraph.Register) UpdateID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := UpdateID(len(t.updates))
 	preds := t.knownPast[int(i)].snapshot()
 	past := t.clientPast(c)
-	preds.orWith(past)
-	t.updates = append(t.updates, updateInfo[S]{issuer: i, reg: x, preds: preds})
+	preds.orWith(past, t.none)
+	id := t.updates.add(updateInfo[S]{issuer: i, reg: x, preds: preds})
 	for _, h := range t.holders(x) {
 		if h != i {
 			t.missing[int(h)].set(int(id))
@@ -39,9 +38,9 @@ func (t *tracker[S]) OnClientWrite(c sharegraph.ClientID, i sharegraph.ReplicaID
 	}
 	t.applied[int(i)].set(int(id))
 	t.knownPast[int(i)].set(int(id))
-	t.knownPast[int(i)].orWith(preds)
+	t.knownPast[int(i)].orWith(preds, t.none)
 	past.set(int(id))
-	past.orWith(preds)
+	past.orWith(preds, t.none)
 	return id
 }
 

@@ -23,6 +23,18 @@ package causality
 // strong pointer, so a tagged node keeps its owner alive and an owner
 // address is never recycled into a false match.
 //
+// History-independent merges. A frozen node is never mutated again, by
+// its owner or anyone else, so its contents are fixed for good. Hence if
+// dst already absorbed a set prev, and src holds at some tree position
+// the very node prev holds there, that subtree adds nothing to dst and
+// orWith(src, prev) skips it. Successive causal-past snapshots of one
+// replica share every subtree the replica did not touch in between, so
+// merging them in sequence costs what changed, not the whole history.
+// The skip is sound only while dst keeps every bit of prev, which the
+// oracle guarantees by construction: knownPast only grows, and restoring
+// a checkpoint (which replaces knownPast) drops the tracker's memo of
+// merged snapshots for that replica.
+//
 // Tail. Update IDs are issued in increasing order, so nearly every set()
 // lands in the current highest chunk. That frontier chunk lives by value
 // in the pset struct ("tail") rather than in the tree: sets to it are
@@ -284,8 +296,12 @@ func (p *pset) snapshot() *pset {
 
 // orWith adds every element of src to p, adopting src's subtrees where p
 // has none, skipping pointer-equal or already-subsumed chunks, and
-// copying only the paths that actually gain bits.
-func (p *pset) orWith(src *pset) {
+// copying only the paths that actually gain bits. prev, when non-nil, is
+// a set p has already absorbed in full (see "History-independent merges"
+// above): src subtrees pointer-equal to prev's at the same position are
+// skipped. The tail is always merged, and a prev of another height than
+// src skips nothing.
+func (p *pset) orWith(src, prev *pset) {
 	if src == nil || src == p {
 		return
 	}
@@ -321,14 +337,19 @@ func (p *pset) orWith(src *pset) {
 		}
 		p.height++
 	}
-	p.root = p.mergeTop(p.root, src.root, p.height, src.height)
+	var skip *pnode
+	if prev != nil && prev.height == src.height {
+		skip = prev.root
+	}
+	p.root = p.mergeTop(p.root, src.root, skip, p.height, src.height)
 }
 
 // mergeTop merges src (rooted at level sl) into dst (rooted at level
-// dl ≥ sl); a shorter src occupies dst's leftmost spine.
-func (p *pset) mergeTop(dst, src *pnode, dl, sl int) *pnode {
+// dl ≥ sl); a shorter src occupies dst's leftmost spine. skip is the
+// node at src's position in an already-absorbed set, or nil.
+func (p *pset) mergeTop(dst, src, skip *pnode, dl, sl int) *pnode {
 	if dl == sl {
-		return p.mergeNode(dst, src, dl)
+		return p.mergeNode(dst, src, skip, dl)
 	}
 	if dst == nil {
 		for l := sl; l < dl; l++ {
@@ -338,7 +359,7 @@ func (p *pset) mergeTop(dst, src *pnode, dl, sl int) *pnode {
 		}
 		return src
 	}
-	nk := p.mergeTop(dst.kids[0], src, dl-1, sl)
+	nk := p.mergeTop(dst.kids[0], src, skip, dl-1, sl)
 	if nk != dst.kids[0] {
 		if !p.owns(dst) {
 			dst = p.copyNode(dst)
@@ -349,9 +370,11 @@ func (p *pset) mergeTop(dst, src *pnode, dl, sl int) *pnode {
 }
 
 // mergeNode returns the union of dst and src at the given level,
-// mutating dst in place where owned and sharing otherwise.
-func (p *pset) mergeNode(dst, src *pnode, level int) *pnode {
-	if src == nil || dst == src {
+// mutating dst in place where owned and sharing otherwise. A src equal
+// to skip, the node at the same position in an already-absorbed set,
+// adds nothing.
+func (p *pset) mergeNode(dst, src, skip *pnode, level int) *pnode {
+	if src == nil || dst == src || src == skip {
 		return dst
 	}
 	if dst == nil {
@@ -376,13 +399,21 @@ func (p *pset) mergeNode(dst, src *pnode, level int) *pnode {
 		}
 		return dst
 	}
+	var skipKids *[pfanout]*pnode
+	if skip != nil {
+		skipKids = skip.kids
+	}
 	d := dst
 	for k := 0; k < pfanout; k++ {
 		sk := src.kids[k]
 		if sk == nil {
 			continue
 		}
-		nk := p.mergeNode(d.kids[k], sk, level-1)
+		var kk *pnode
+		if skipKids != nil {
+			kk = skipKids[k]
+		}
+		nk := p.mergeNode(d.kids[k], sk, kk, level-1)
 		if nk != d.kids[k] {
 			if !p.owns(d) {
 				d = p.copyNode(d)

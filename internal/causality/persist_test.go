@@ -114,7 +114,7 @@ func TestPsetOrWithAdoptionIsolation(t *testing.T) {
 	}
 	dst := &pset{}
 	dst.set(4000) // dst's tail is ahead; src's chunks merge into dst's tree
-	dst.orWith(src)
+	dst.orWith(src, nil)
 	if dst.count() != 751 || !dst.has(0) || !dst.has(1498) {
 		t.Fatalf("union wrong: count=%d", dst.count())
 	}
@@ -148,18 +148,18 @@ func TestPsetOrWithTailCases(t *testing.T) {
 		{"from empty", mk(5, 600), &pset{}, []int{5, 600}},
 	}
 	for _, tc := range cases {
-		tc.dst.orWith(tc.src)
+		tc.dst.orWith(tc.src, nil)
 		if got := collectPset(tc.dst, 50000); !equalInts(got, tc.want) {
 			t.Errorf("%s: got %v want %v", tc.name, got, tc.want)
 		}
 	}
 	// Self-union is a no-op.
 	p := mk(1, 2, 3)
-	p.orWith(p)
+	p.orWith(p, nil)
 	if p.count() != 3 {
 		t.Error("self orWith changed the set")
 	}
-	p.orWith(nil)
+	p.orWith(nil, nil)
 	if p.count() != 3 {
 		t.Error("nil orWith changed the set")
 	}
@@ -250,8 +250,8 @@ func TestPsetMatchesFlatRandomOps(t *testing.T) {
 			case 6:
 				other := pairs[rng.Intn(len(pairs))]
 				if other != pr {
-					pr.p.orWith(other.p)
-					pr.b.orWith(other.b)
+					pr.p.orWith(other.p, nil)
+					pr.b.orWith(other.b, nil)
 				}
 			case 7:
 				snaps = append(snaps, frozen{p: pr.p.snapshot(), want: pr.b.clone()})
@@ -285,6 +285,152 @@ func TestPsetMatchesFlatRandomOps(t *testing.T) {
 			if got, want := collectPset(s.p, maxIdx), collectFlat(s.want, maxIdx); !equalInts(got, want) {
 				t.Fatalf("seed %d: snapshot %d mutated after the fact (%d vs %d elements)", seed, k, len(got), len(want))
 			}
+		}
+	}
+}
+
+// psetEqualsFlat reports whether p and b hold the same elements, word by
+// word over p's chunks and b's words.
+func psetEqualsFlat(p *pset, b *bitset) bool {
+	words := make([]uint64, len(b.words))
+	ok := true
+	p.eachChunk(func(ci int, c *pchunk) bool {
+		for k, w := range c {
+			wi := ci*pchunkWords + k
+			switch {
+			case wi < len(words):
+				words[wi] = w
+			case w != 0:
+				ok = false
+				return false
+			}
+		}
+		return true
+	})
+	for wi := range words {
+		if words[wi] != b.words[wi] {
+			return false
+		}
+	}
+	return ok
+}
+
+func TestPsetOrWithPrevSkipsSharedSubtrees(t *testing.T) {
+	// src extends prev: leaves 0–4 stay shared, leaf 5 is the old tail
+	// pushed into the tree, and the tail moves to chunk 9. dst holds
+	// none of prev, so the skipped leaves stay out of dst — which shows
+	// they were skipped rather than merged.
+	live := &pset{}
+	for i := 0; i < 3000; i++ {
+		live.set(i)
+	}
+	prev := live.snapshot()
+	live.set(5000)
+	src := live.snapshot()
+	dst := &pset{}
+	dst.set(1)
+	dst.set(600)
+	dst.orWith(src, prev)
+	for _, in := range []int{1, 600, 2560, 2999, 5000} {
+		if !dst.has(in) {
+			t.Errorf("missing %d", in)
+		}
+	}
+	for _, out := range []int{0, 2, 599, 601, 2559} {
+		if dst.has(out) {
+			t.Errorf("%d merged from a subtree shared with prev", out)
+		}
+	}
+	// With prev one level shorter than src nothing is skipped: pushing
+	// chunk 78 into the tree raises it to height 2.
+	live.set(40000)
+	live.set(50000)
+	tall := live.snapshot()
+	if tall.height == src.height {
+		t.Fatalf("tall has src's height %d", src.height)
+	}
+	dst2 := &pset{}
+	dst2.set(1)
+	dst2.orWith(tall, src)
+	if got, want := dst2.count(), tall.count(); got != want {
+		t.Errorf("prev of another height: count %d, want %d", got, want)
+	}
+}
+
+// TestPsetOrWithPrevMatchesFlat drives the skip rule the oracle relies
+// on. dst absorbs successive snapshots of a live lineage, each with the
+// last absorbed snapshot as prev, and must equal the flat union after
+// every merge. The lineage interleaves in-tail and behind-tail sets,
+// frontier jumps across chunk boundaries and tree heights, and adoption
+// from a second lineage; dst gains bits of its own; and prev is now and
+// then nil, an older absorbed snapshot, or an unrelated set that shares
+// no structure with src.
+func TestPsetOrWithPrevMatchesFlat(t *testing.T) {
+	const maxIdx = 60000 // spans three tree heights
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		live, liveF := &pset{}, &bitset{}
+		other, otherF := &pset{}, &bitset{}
+		dst, dstF := &pset{}, &bitset{}
+		var absorbed []*pset
+		frontier := 0
+		nextIdx := func() int {
+			switch rng.Intn(20) {
+			case 0:
+				return rng.Intn(maxIdx) // behind the tail
+			case 1:
+				frontier += pchunkBits * (1 + rng.Intn(40)) // across chunks, sometimes heights
+			default:
+				frontier += rng.Intn(24)
+			}
+			frontier %= maxIdx
+			return frontier
+		}
+		merges := 0
+		for step := 0; step < 3000; step++ {
+			switch rng.Intn(9) {
+			case 0, 1, 2:
+				i := nextIdx()
+				live.set(i)
+				liveF.set(i)
+			case 3:
+				i := rng.Intn(maxIdx)
+				other.set(i)
+				otherF.set(i)
+			case 4:
+				live.orWith(other, nil)
+				liveF.orWith(otherF, nil)
+			case 5:
+				i := rng.Intn(maxIdx)
+				dst.set(i)
+				dstF.set(i)
+			default:
+				snap := live.snapshot()
+				var prev *pset
+				switch r := rng.Intn(8); {
+				case r == 0:
+				case r == 1 && len(absorbed) > 0:
+					prev = absorbed[rng.Intn(len(absorbed))]
+				case r == 2:
+					prev = &pset{}
+					for k := 0; k < 200; k++ {
+						prev.set(rng.Intn(maxIdx))
+					}
+				case len(absorbed) > 0:
+					prev = absorbed[len(absorbed)-1]
+				}
+				dst.orWith(snap, prev)
+				dstF.orWith(liveF, nil)
+				absorbed = append(absorbed, snap)
+				merges++
+				if !psetEqualsFlat(dst, dstF) {
+					t.Fatalf("seed %d step %d: dst differs from the flat union after merge %d (%d vs %d elements)",
+						seed, step, merges, dst.count(), dstF.count())
+				}
+			}
+		}
+		if !psetEqualsFlat(live, liveF) {
+			t.Fatalf("seed %d: live lineage differs from its flat mirror", seed)
 		}
 	}
 }

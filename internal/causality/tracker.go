@@ -102,7 +102,10 @@ type updateSet[S any] interface {
 	// snapshot returns an independently mutable copy: O(1) structural
 	// sharing for pset, a full clone for the flat bitset.
 	snapshot() S
-	orWith(other S)
+	// orWith adds other to the receiver. prev, possibly the zero S, is a
+	// set the receiver already holds in full; pset skips the subtrees
+	// other shares with it (persist.go, "History-independent merges").
+	orWith(other, prev S)
 	// intersectsDiff reports whether receiver ∩ mask ∩ ¬excl ≠ ∅; the
 	// zero S (nil) stands for the empty set.
 	intersectsDiff(mask, excl S) bool
@@ -237,6 +240,42 @@ type updateInfo[S any] struct {
 	preds S
 }
 
+// logPage is the number of updates per page of an updateLog.
+const logPage = 4096
+
+// updateLog is the append-only log of issued updates, indexed by
+// UpdateID and kept in pages of logPage entries so an append never moves
+// the history. A single slice would re-copy the whole log on each
+// growth; at 64k updates those multi-megabyte copies, and the GC work
+// they draw, cost as much as an issue and its apply. The first page
+// grows on demand, so a tracker that sees few updates stays small.
+type updateLog[S any] struct {
+	pages [][]updateInfo[S]
+	n     int
+}
+
+func (l *updateLog[S]) len() int { return l.n }
+
+// at returns update id, which must be below len.
+func (l *updateLog[S]) at(id UpdateID) *updateInfo[S] {
+	return &l.pages[int(id)/logPage][int(id)%logPage]
+}
+
+// add appends u and returns its UpdateID.
+func (l *updateLog[S]) add(u updateInfo[S]) UpdateID {
+	if l.n == len(l.pages)*logPage {
+		var page []updateInfo[S]
+		if l.n > 0 {
+			page = make([]updateInfo[S], 0, logPage)
+		}
+		l.pages = append(l.pages, page)
+	}
+	last := &l.pages[len(l.pages)-1]
+	*last = append(*last, u)
+	l.n++
+	return UpdateID(l.n - 1)
+}
+
 // tracker is the oracle's logic, generic over the set representation.
 type tracker[S updateSet[S]] struct {
 	g      *sharegraph.Graph
@@ -247,11 +286,16 @@ type tracker[S updateSet[S]] struct {
 	none S
 
 	mu      sync.Mutex
-	updates []updateInfo[S]
+	updates updateLog[S]
 	applied []S // applied[i] = set of updates applied at replica i
 	// knownPast[i] = ∪ over applied u of {u} ∪ preds(u); snapshotted per
 	// issue to fix the new update's causal past.
 	knownPast []S
+	// merged[j][i] is the causal past of the last update issued at i that
+	// OnApply folded into knownPast[j]: the prev of the next such merge.
+	// Rows are allocated on a replica's first apply and dropped when
+	// RestoreCheckpoint replaces its knownPast.
+	merged [][]S
 	// missing[i] = updates on registers replica i stores, not yet applied
 	// there — relevant(i) ∖ applied(i), maintained incrementally (set on
 	// issue at every non-issuing holder, cleared on apply). The per-apply
@@ -271,6 +315,7 @@ func newTrackerImpl[S updateSet[S]](g *sharegraph.Graph, newSet func() S, name s
 		name:      name,
 		applied:   make([]S, n),
 		knownPast: make([]S, n),
+		merged:    make([][]S, n),
 		missing:   make([]S, n),
 		holderIdx: make(map[sharegraph.Register][]sharegraph.ReplicaID),
 	}
@@ -297,8 +342,7 @@ func (t *tracker[S]) holders(x sharegraph.Register) []sharegraph.ReplicaID {
 func (t *tracker[S]) OnIssue(i sharegraph.ReplicaID, x sharegraph.Register) UpdateID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := UpdateID(len(t.updates))
-	t.updates = append(t.updates, updateInfo[S]{
+	id := t.updates.add(updateInfo[S]{
 		issuer: i,
 		reg:    x,
 		preds:  t.knownPast[int(i)].snapshot(),
@@ -316,11 +360,11 @@ func (t *tracker[S]) OnIssue(i sharegraph.ReplicaID, x sharegraph.Register) Upda
 func (t *tracker[S]) OnApply(j sharegraph.ReplicaID, id UpdateID) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(id) >= len(t.updates) {
+	if int(id) >= t.updates.len() {
 		t.violations = append(t.violations, Violation{Kind: ForeignApply, Replica: j, Update: id})
 		return
 	}
-	u := t.updates[id]
+	u := t.updates.at(id)
 	if !t.g.StoresRegister(j, u.reg) {
 		t.violations = append(t.violations, Violation{Kind: ForeignApply, Replica: j, Update: id})
 		return
@@ -344,31 +388,36 @@ func (t *tracker[S]) OnApply(j sharegraph.ReplicaID, id UpdateID) {
 	miss.clear(int(id))
 	t.applied[int(j)].set(int(id))
 	t.knownPast[int(j)].set(int(id))
-	t.knownPast[int(j)].orWith(u.preds)
+	if t.merged[int(j)] == nil {
+		t.merged[int(j)] = make([]S, len(t.knownPast))
+	}
+	last := &t.merged[int(j)][int(u.issuer)]
+	t.knownPast[int(j)].orWith(u.preds, *last)
+	*last = u.preds
 }
 
 func (t *tracker[S]) OracleDeliverable(j sharegraph.ReplicaID, id UpdateID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(id) >= len(t.updates) {
+	if int(id) >= t.updates.len() {
 		return false
 	}
-	return !t.missing[int(j)].intersectsDiff(t.updates[id].preds, t.none)
+	return !t.missing[int(j)].intersectsDiff(t.updates.at(id).preds, t.none)
 }
 
 func (t *tracker[S]) HappenedBefore(a, b UpdateID) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(a) >= len(t.updates) || int(b) >= len(t.updates) {
+	if int(a) >= t.updates.len() || int(b) >= t.updates.len() {
 		return false
 	}
-	return t.updates[b].preds.has(int(a))
+	return t.updates.at(b).preds.has(int(a))
 }
 
 func (t *tracker[S]) NumUpdates() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.updates)
+	return t.updates.len()
 }
 
 func (t *tracker[S]) Applied(j sharegraph.ReplicaID, id UpdateID) bool {
@@ -380,18 +429,18 @@ func (t *tracker[S]) Applied(j sharegraph.ReplicaID, id UpdateID) bool {
 func (t *tracker[S]) CausalPastSize(id UpdateID) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if int(id) >= len(t.updates) {
+	if int(id) >= t.updates.len() {
 		return 0
 	}
-	return t.updates[id].preds.count()
+	return t.updates.at(id).preds.count()
 }
 
 func (t *tracker[S]) CheckLiveness() []Violation {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Violation
-	for id, u := range t.updates {
-		for _, h := range t.holders(u.reg) {
+	for id := 0; id < t.updates.len(); id++ {
+		for _, h := range t.holders(t.updates.at(UpdateID(id)).reg) {
 			if !t.applied[int(h)].has(id) {
 				v := Violation{Kind: LivenessViolation, Replica: h, Update: UpdateID(id)}
 				out = append(out, v)

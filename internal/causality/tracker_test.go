@@ -268,7 +268,7 @@ func TestBitset(t *testing.T) {
 	}
 	d := &bitset{}
 	d.set(64)
-	d.orWith(b)
+	d.orWith(b, nil)
 	if !d.has(3) || !d.has(64) || !d.has(200) {
 		t.Error("orWith lost bits")
 	}

@@ -38,7 +38,11 @@ func Load(path, topology string, n int, seed int64) (*sharegraph.Graph, sharegra
 // Topology builds a share graph by family name. n is the size parameter
 // (ignored by the fixed paper examples); seed feeds the random family.
 func Topology(name string, n int, seed int64) (*sharegraph.Graph, error) {
-	switch strings.ToLower(name) {
+	family := strings.ToLower(name)
+	if least, ok := minSize[family]; ok && n < least {
+		return nil, fmt.Errorf("topology %s needs n >= %d, got %d", family, least, n)
+	}
+	switch family {
 	case "fig3":
 		return sharegraph.Fig3Example(), nil
 	case "fig5":
@@ -70,6 +74,12 @@ func Topology(name string, n int, seed int64) (*sharegraph.Graph, error) {
 	default:
 		return nil, fmt.Errorf("unknown topology %q (want %s)", name, strings.Join(TopologyNames(), "|"))
 	}
+}
+
+// minSize is the smallest size parameter each parametric family
+// accepts; its generator panics below it.
+var minSize = map[string]int{
+	"ring": 3, "line": 2, "star": 2, "clique": 2, "fullrep": 1, "grid": 1, "random": 3,
 }
 
 // TopologyNames lists the accepted topology names.

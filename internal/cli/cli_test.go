@@ -23,6 +23,16 @@ func TestTopologyNames(t *testing.T) {
 	if _, err := Topology("nope", 5, 1); err == nil {
 		t.Error("unknown topology accepted")
 	}
+	// Every parametric family builds at its minimum size and reports an
+	// error, not a generator panic, one below it.
+	for name, least := range minSize {
+		if _, err := Topology(name, least, 1); err != nil {
+			t.Errorf("%s at n=%d: %v", name, least, err)
+		}
+		if _, err := Topology(name, least-1, 1); err == nil {
+			t.Errorf("%s at n=%d accepted", name, least-1)
+		}
+	}
 }
 
 func TestProtocolNames(t *testing.T) {

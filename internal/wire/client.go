@@ -98,37 +98,43 @@ func (c *Client) Write(r sharegraph.ReplicaID, reg sharegraph.Register, val core
 	return nil
 }
 
-// roundTrip sends a request frame and reads one response frame, which
-// must have the given kind.
-func (cc *clientConn) roundTrip(req []byte, want Kind) ([]byte, error) {
+// roundTrip sends a request frame, reads one response frame, which must
+// have the given kind, and hands its payload to decode before unlocking:
+// the payload aliases cc.buf, which the next Write or exchange on this
+// connection overwrites.
+func (cc *clientConn) roundTrip(req []byte, want Kind, decode func(payload []byte) error) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if _, err := cc.conn.Write(req); err != nil {
-		return nil, err
+		return err
 	}
 	body, err := ReadFrame(cc.br, &cc.buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	kind, payload, err := DecodeBody(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if kind != want {
-		return nil, fmt.Errorf("wire: got %v response, want %v", kind, want)
+		return fmt.Errorf("wire: got %v response, want %v", kind, want)
 	}
-	return payload, nil
+	return decode(payload)
 }
 
 // Status polls replica r's transport counters.
 func (c *Client) Status(r sharegraph.ReplicaID) (Status, error) {
-	payload, err := c.conns[r].roundTrip(AppendStatusReq(nil), KindStatus)
+	var s Status
+	err := c.conns[r].roundTrip(AppendStatusReq(nil), KindStatus, func(payload []byte) error {
+		st, isResp, err := DecodeStatus(payload)
+		if err != nil || !isResp {
+			return fmt.Errorf("bad response (%v)", err)
+		}
+		s = st
+		return nil
+	})
 	if err != nil {
 		return Status{}, fmt.Errorf("wire: status of replica %d: %w", r, err)
-	}
-	s, isResp, err := DecodeStatus(payload)
-	if err != nil || !isResp {
-		return Status{}, fmt.Errorf("wire: status of replica %d: bad response (%v)", r, err)
 	}
 	return s, nil
 }
@@ -163,13 +169,17 @@ func (c *Client) Metrics() (obs.Snapshot, error) {
 
 // Snapshot fetches replica r's register contents.
 func (c *Client) Snapshot(r sharegraph.ReplicaID) (map[sharegraph.Register]core.Value, error) {
-	payload, err := c.conns[r].roundTrip(AppendSnapshotReq(nil), KindSnapshot)
+	var st map[sharegraph.Register]core.Value
+	err := c.conns[r].roundTrip(AppendSnapshotReq(nil), KindSnapshot, func(payload []byte) error {
+		m, isResp, err := DecodeSnapshot(payload)
+		if err != nil || !isResp {
+			return fmt.Errorf("bad response (%v)", err)
+		}
+		st = m
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("wire: snapshot of replica %d: %w", r, err)
-	}
-	st, isResp, err := DecodeSnapshot(payload)
-	if err != nil || !isResp {
-		return nil, fmt.Errorf("wire: snapshot of replica %d: bad response (%v)", r, err)
 	}
 	return st, nil
 }
