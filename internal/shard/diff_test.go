@@ -2,7 +2,6 @@ package shard
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/sharegraph"
@@ -38,7 +37,7 @@ func TestShardedMatchesIndependentClusters(t *testing.T) {
 
 	r, err := New(g, p, Options{
 		Spaces: spaces, Shards: 4, Audit: true, Seed: seed,
-		FlushSize: 8, FlushInterval: 100 * time.Microsecond,
+		FlushSize: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

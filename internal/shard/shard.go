@@ -17,15 +17,25 @@
 //   - Envelope batching: emitted envelopes are staged in a per-shard
 //     outbox and travel as one batch message — one inbox push (and, on
 //     a future network path, one wire.KindBatch frame) carries many
-//     updates, amortizing per-message dispatch. Batches flush on size
-//     (FlushSize envelopes) and on idle (a flusher sweeps outboxes every
-//     FlushInterval, bounding staging latency). Batch buffers and
-//     metadata are pooled, so the steady-state hot path allocates
-//     nothing.
+//     updates, amortizing per-message dispatch. Batching is
+//     self-clocked (group commit): an outbox counts its shard's batches
+//     that are pushed but not yet delivered, and a staged batch leaves
+//     as soon as that count is zero — at once when the shard is idle,
+//     or when the delivery in flight finishes. Envelopes that arrive
+//     meanwhile ride together in the next batch, so batches grow with
+//     load and no timer is involved. A batch that reaches FlushSize
+//     envelopes is pushed regardless. Batch buffers and metadata are
+//     pooled, so the steady-state hot path allocates nothing.
 //
-// When batching loses: a latency-sensitive, low-rate workload pays up
-// to FlushInterval of staging delay per hop for no amortization win —
-// set FlushSize to 1 to degenerate into the unbatched per-envelope path.
+// The outbox invariant is: something staged ⇒ a batch of that shard is
+// in flight, and the last such batch to be delivered pushes the staged
+// one. Quiesce is therefore one engine quiescence, and nothing waits on
+// a clock.
+//
+// When batching loses: at low load every batch carries one envelope, so
+// batching adds only the outbox lock over the unbatched path. Under
+// load a staged envelope waits for its shard's deliveries already in
+// flight; FlushSize 1 removes that wait and with it all aggregation.
 package shard
 
 import (
@@ -33,7 +43,6 @@ import (
 	goruntime "runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/causality"
 	"repro/internal/core"
@@ -60,12 +69,10 @@ type Options struct {
 	// InboxCapacity bounds each shard's inbox in batches (engine
 	// default 1024). Client writes block while their shard is full.
 	InboxCapacity int
-	// FlushSize is the envelope count that flushes a staged batch
-	// (default 32). 1 disables batching.
+	// FlushSize is the envelope count that pushes a staged batch even
+	// while another batch of its shard is in flight (default 32). 1
+	// disables batching.
 	FlushSize int
-	// FlushInterval bounds how long a partial batch may sit staged
-	// before the idle flusher pushes it (default 1ms).
-	FlushInterval time.Duration
 	// Seed drives the engine's per-inbox delivery shuffles.
 	Seed int64
 	// Audit runs one causality oracle per space. Off by default: at
@@ -90,9 +97,6 @@ func (o Options) withDefaults(workers int) Options {
 	if o.FlushSize <= 0 {
 		o.FlushSize = 32
 	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = time.Millisecond
-	}
 	return o
 }
 
@@ -102,10 +106,10 @@ type item struct {
 	env   core.Envelope
 }
 
-// batch is the engine message: all envelopes staged for one shard since
-// the last flush. Dest is the shard, so per-shard inboxes bound batches,
-// not envelopes — the overshoot is at most FlushSize-1 envelopes per
-// slot.
+// batch is the engine message: envelopes staged for one shard since its
+// previous batch left. Dest is the shard, so per-shard inboxes bound
+// batches, not envelopes — the overshoot is at most FlushSize-1
+// envelopes per slot.
 type batch struct {
 	shard int
 	items []item
@@ -114,11 +118,14 @@ type batch struct {
 // Dest implements runtime.Message.
 func (b *batch) Dest() int { return b.shard }
 
-// outbox is one shard's staging buffer: envelopes accumulate here until
-// a size or idle flush detaches the batch and hands it to the engine.
+// outbox is one shard's staging buffer: envelopes accumulate in cur
+// while a batch of the shard is in flight, and leave when the last one
+// is delivered or cur reaches FlushSize. Invariant: cur != nil ⇒
+// inflight > 0.
 type outbox struct {
-	mu  sync.Mutex
-	cur *batch // nil when nothing is staged
+	mu       sync.Mutex
+	cur      *batch // nil when nothing is staged
+	inflight int    // batches detached for the engine and not yet delivered
 }
 
 // Runtime hosts Options.Spaces independent space instances multiplexed
@@ -140,9 +147,6 @@ type Runtime struct {
 	batches sync.Pool // *batch
 	sinks   sync.Pool // *spaceSink
 
-	flushDone chan struct{}
-	flushWG   sync.WaitGroup
-
 	idSeq    atomic.Int64
 	closed   atomic.Bool
 	msgs     atomic.Int64
@@ -156,8 +160,8 @@ type Runtime struct {
 }
 
 // New builds and starts a sharded runtime: protocol.NewNodes() is
-// instantiated once per space, the engine's worker pool starts, and the
-// idle flusher begins sweeping outboxes. Callers must Close.
+// instantiated once per space and the engine's worker pool starts.
+// Callers must Close.
 func New(g *sharegraph.Graph, protocol core.Protocol, opts Options) (*Runtime, error) {
 	if opts.Spaces <= 0 {
 		return nil, fmt.Errorf("shard: space count %d, need at least one", opts.Spaces)
@@ -168,10 +172,9 @@ func New(g *sharegraph.Graph, protocol core.Protocol, opts Options) (*Runtime, e
 		Seed:          opts.Seed,
 	}
 	r := &Runtime{
-		g:         g,
-		protocol:  protocol,
-		replicas:  g.NumReplicas(),
-		flushDone: make(chan struct{}),
+		g:        g,
+		protocol: protocol,
+		replicas: g.NumReplicas(),
 	}
 	r.nodes = make([][]core.Node, opts.Spaces)
 	for s := range r.nodes {
@@ -203,8 +206,6 @@ func New(g *sharegraph.Graph, protocol core.Protocol, opts Options) (*Runtime, e
 		engOpts.Obs = r.reg
 	}
 	r.eng = rt.New(r.opts.Shards, engOpts, r.deliver)
-	r.flushWG.Add(1)
-	go r.flusher()
 	return r, nil
 }
 
@@ -233,7 +234,7 @@ func (r *Runtime) lockFor(space int, rep sharegraph.ReplicaID) *sync.Mutex {
 // copied through the recycling pool inside the node's lock (satisfying
 // the consume-before-next-call contract), then staged into the space's
 // shard outbox after the lock is released. one and full are pooled
-// scratch so the flush path performs no allocation.
+// scratch so the push path performs no allocation.
 type spaceSink struct {
 	r    *Runtime
 	envs []core.Envelope
@@ -270,10 +271,12 @@ func (r *Runtime) putBatch(b *batch) {
 	r.batches.Put(b)
 }
 
-// stage appends the sink's staged envelopes to the space's shard outbox
-// and pushes every batch that reached FlushSize. backpressure selects
-// the engine contract for those pushes: Send (blocking, client path) or
-// Forward (worker path).
+// stage appends the sink's staged envelopes to the space's shard outbox.
+// A batch leaves for the engine when it reaches FlushSize or when no
+// batch of its shard is in flight; otherwise it waits for the delivery
+// in flight to push it (see retire). backpressure selects the engine
+// contract for the pushes: Send (blocking, client path) or Forward
+// (worker path).
 func (r *Runtime) stage(s *spaceSink, space int, backpressure bool) {
 	if len(s.envs) == 0 {
 		return
@@ -290,7 +293,13 @@ func (r *Runtime) stage(s *spaceSink, space int, backpressure bool) {
 		if len(ob.cur.items) >= r.opts.FlushSize {
 			s.full = append(s.full, ob.cur)
 			ob.cur = nil
+			ob.inflight++
 		}
+	}
+	if ob.cur != nil && ob.inflight == 0 {
+		s.full = append(s.full, ob.cur)
+		ob.cur = nil
+		ob.inflight++
 	}
 	ob.mu.Unlock()
 	// Pushes happen outside every lock: Send may block on a full inbox,
@@ -304,9 +313,29 @@ func (r *Runtime) stage(s *spaceSink, space int, backpressure bool) {
 	s.envs = s.envs[:0]
 }
 
+// retire counts one batch of shard sh as delivered (or dropped). If it
+// was the shard's last batch in flight and something is staged, the
+// staged batch takes its place in flight: retire detaches it and
+// returns it for the caller to push.
+func (r *Runtime) retire(sh int) *batch {
+	ob := &r.out[sh]
+	ob.mu.Lock()
+	ob.inflight--
+	b := ob.cur
+	if ob.inflight > 0 || b == nil {
+		ob.mu.Unlock()
+		return nil
+	}
+	ob.cur = nil
+	ob.inflight = 1
+	ob.mu.Unlock()
+	return b
+}
+
 // push hands one detached batch to the engine. A batch the engine drops
 // (shutdown race) is recycled here, metadata included, so the pool's
-// leak accounting stays balanced.
+// leak accounting stays balanced; it retires like a delivered one, and
+// whatever was staged behind it is pushed (and dropped) in turn.
 func (r *Runtime) push(s *spaceSink, b *batch, backpressure bool) {
 	n := len(b.items)
 	bytes := int64(0)
@@ -315,9 +344,9 @@ func (r *Runtime) push(s *spaceSink, b *batch, backpressure bool) {
 	}
 	// Per-edge attribution must happen before the engine sees the batch:
 	// once accepted, a worker may deliver and recycle it concurrently.
-	// The one batch a shutdown race rejects is therefore over-counted in
-	// the registry (not in the authoritative Stats totals below) —
-	// harmless for monitoring, unsafe to fix by reading b.items later.
+	// A batch a shutdown race rejects is therefore over-counted in the
+	// registry (not in the authoritative Stats totals below) — harmless
+	// for monitoring, unsafe to fix by reading b.items later.
 	if r.reg != nil {
 		r.reg.Batch(n)
 		for i := range b.items {
@@ -334,10 +363,14 @@ func (r *Runtime) push(s *spaceSink, b *batch, backpressure bool) {
 	}
 	s.one[0] = nil
 	if accepted == 0 {
+		sh := b.shard
 		for i := range b.items {
 			r.meta.Put(b.items[i].env.Meta)
 		}
 		r.putBatch(b)
+		if next := r.retire(sh); next != nil {
+			r.push(s, next, backpressure)
+		}
 		return
 	}
 	r.nbatches.Add(1)
@@ -348,7 +381,9 @@ func (r *Runtime) push(s *spaceSink, b *batch, backpressure bool) {
 // deliver unpacks one batch: each envelope is ingested at its space's
 // destination node, applied updates are reported to the space's oracle,
 // and follow-on emits are staged back through the outbox (Forward
-// contract — a delivering worker never blocks).
+// contract — a delivering worker never blocks). The follow-ons stage
+// behind this batch, which is still in flight; retiring it at the end
+// pushes them as the shard's next batch.
 func (r *Runtime) deliver(b *batch) {
 	s := r.getSink()
 	for i := range b.items {
@@ -375,7 +410,11 @@ func (r *Runtime) deliver(b *batch) {
 		r.meta.Put(env.Meta)
 		r.stage(s, space, false)
 	}
+	sh := b.shard
 	r.putBatch(b)
+	if next := r.retire(sh); next != nil {
+		r.push(s, next, false)
+	}
 	r.putSink(s)
 }
 
@@ -390,8 +429,9 @@ func (r *Runtime) issueID(space int, rep sharegraph.ReplicaID, x sharegraph.Regi
 
 // Write performs a client write at replica rep of space, blocking while
 // the space's shard inbox is at capacity (the backpressure contract).
-// The write is staged: it reaches the engine when its batch fills or the
-// idle flusher sweeps, whichever is first.
+// The write is staged: it reaches the engine at once if no batch of its
+// shard is in flight, otherwise when that delivery finishes or its batch
+// fills, whichever is first.
 func (r *Runtime) Write(space int, rep sharegraph.ReplicaID, x sharegraph.Register, v core.Value) error {
 	if r.closed.Load() {
 		return fmt.Errorf("shard: closed")
@@ -425,79 +465,21 @@ func (r *Runtime) Read(space int, rep sharegraph.ReplicaID, x sharegraph.Registe
 	return r.nodes[space][rep].Read(x)
 }
 
-// flusher is the idle-flush loop: every FlushInterval it detaches every
-// staged batch and forwards it, bounding how long an envelope can sit in
-// an outbox regardless of traffic.
-func (r *Runtime) flusher() {
-	defer r.flushWG.Done()
-	t := time.NewTicker(r.opts.FlushInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.flushDone:
-			return
-		case <-t.C:
-			r.flushAll()
-		}
-	}
-}
+// Quiesce blocks until no messages are in flight anywhere. The engine
+// going idle suffices: a staged batch always has a batch of its shard
+// in flight ahead of it, and that delivery pushes it before the engine
+// counts the delivery done. Callers stop issuing writes first (updates
+// stuck in protocol pending buffers do not count, as with the engine's
+// own Quiesce).
+func (r *Runtime) Quiesce() { r.eng.Quiesce() }
 
-// flushAll detaches and forwards every outbox's staged batch.
-func (r *Runtime) flushAll() {
-	s := r.getSink()
-	for i := range r.out {
-		ob := &r.out[i]
-		ob.mu.Lock()
-		b := ob.cur
-		ob.cur = nil
-		ob.mu.Unlock()
-		if b != nil {
-			r.push(s, b, false)
-		}
-	}
-	r.putSink(s)
-}
-
-// outboxesEmpty reports whether nothing is staged anywhere.
-func (r *Runtime) outboxesEmpty() bool {
-	for i := range r.out {
-		ob := &r.out[i]
-		ob.mu.Lock()
-		empty := ob.cur == nil
-		ob.mu.Unlock()
-		if !empty {
-			return false
-		}
-	}
-	return true
-}
-
-// Quiesce blocks until no messages are in flight anywhere: outboxes
-// empty and the engine idle. Batching makes this a fixpoint loop — a
-// draining delivery may stage new envelopes after a sweep, so Quiesce
-// alternates flushing and engine quiescence until both hold at once.
-// Callers stop issuing writes first (updates stuck in protocol pending
-// buffers do not count, as with the engine's own Quiesce).
-func (r *Runtime) Quiesce() {
-	for {
-		r.flushAll()
-		r.eng.Quiesce()
-		if r.outboxesEmpty() && r.eng.Outstanding() == 0 {
-			return
-		}
-	}
-}
-
-// Close rejects further writes, stops the idle flusher, pushes staged
-// leftovers, and shuts the engine down after the drain. No goroutines
-// outlive the runtime.
+// Close rejects further writes and shuts the engine down after the
+// drain, which carries every staged batch with it. No goroutines outlive
+// the runtime.
 func (r *Runtime) Close() {
 	if !r.closed.CompareAndSwap(false, true) {
 		return
 	}
-	close(r.flushDone)
-	r.flushWG.Wait()
-	r.flushAll()
 	r.eng.Close()
 }
 

@@ -48,7 +48,7 @@ func TestRouterRoundTrip(t *testing.T) {
 // consistent final state across replicas of shared registers.
 func TestShardedBasicConvergence(t *testing.T) {
 	const spaces = 12
-	r := newRing(t, 5, Options{Spaces: spaces, Audit: true, Seed: 3, FlushSize: 8, FlushInterval: 200 * time.Microsecond})
+	r := newRing(t, 5, Options{Spaces: spaces, Audit: true, Seed: 3, FlushSize: 8})
 	defer r.Close()
 	ms, err := workload.GenerateMulti(r.Graph(), workload.MultiOptions{Spaces: spaces, Ops: 1500, Zipf: 1.3, Seed: 3})
 	if err != nil {
@@ -88,7 +88,7 @@ func TestShardedBackpressureTinyInboxes(t *testing.T) {
 	const spaces = 16
 	r := newRing(t, 4, Options{
 		Spaces: spaces, Shards: 2, Workers: 2,
-		InboxCapacity: 1, FlushSize: 1, FlushInterval: 50 * time.Microsecond,
+		InboxCapacity: 1, FlushSize: 1,
 		Seed: 7,
 	})
 	defer r.Close()
@@ -127,31 +127,98 @@ func TestShardedWriteErrors(t *testing.T) {
 	r.Close() // idempotent
 }
 
-// TestShardedQuiesceFlushesStaged pins the fixpoint property batching
-// introduces: a write staged below FlushSize is invisible to the engine
-// until a flush, and Quiesce must still deliver it before returning.
-func TestShardedQuiesceFlushesStaged(t *testing.T) {
-	// A flush interval far beyond the test's runtime proves Quiesce did
-	// the sweep itself rather than racing the idle flusher.
-	r := newRing(t, 4, Options{Spaces: 1, FlushSize: 1 << 20, FlushInterval: time.Hour})
+// TestShardedSelfClockedFlush pins self-clocked batching: a write staged
+// behind a batch in delivery reaches its holders once that delivery
+// finishes, with no Quiesce and no timer to push it. Holding the
+// destination node's lock keeps the first write's batch in flight while
+// the second write stages behind it.
+func TestShardedSelfClockedFlush(t *testing.T) {
+	r := newRing(t, 4, Options{Spaces: 1, Workers: 1, FlushSize: 1 << 20})
 	defer r.Close()
 	g := r.Graph()
 	var reg sharegraph.Register
-	var owner sharegraph.ReplicaID
+	var owner, holder sharegraph.ReplicaID
 	for _, x := range g.Registers() {
 		if h := g.Holders(x); len(h) >= 2 {
-			reg, owner = x, h[0]
+			reg, owner, holder = x, h[0], h[1]
 			break
 		}
 	}
-	if err := r.Write(0, owner, reg, 42); err != nil {
+	ob := &r.out[0]
+	outbox := func() (staged bool, inflight int) {
+		ob.mu.Lock()
+		defer ob.mu.Unlock()
+		return ob.cur != nil, ob.inflight
+	}
+
+	mu := r.lockFor(0, holder)
+	mu.Lock()
+	if err := r.Write(0, owner, reg, 1); err != nil {
+		mu.Unlock()
 		t.Fatal(err)
 	}
-	r.Quiesce()
-	for _, rep := range g.Holders(reg) {
-		if v, ok := r.Read(0, rep, reg); !ok || v != 42 {
-			t.Fatalf("replica %d: %v (ok=%v) after quiesce, want 42", rep, v, ok)
+	if err := r.Write(0, owner, reg, 2); err != nil {
+		mu.Unlock()
+		t.Fatal(err)
+	}
+	staged, inflight := outbox()
+	mu.Unlock()
+	if !staged || inflight != 1 {
+		t.Fatalf("second write: staged=%v inflight=%d, want it staged behind one batch in flight", staged, inflight)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if v, ok := r.Read(0, holder, reg); ok && v == 2 {
+			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatal("staged write never delivered: nothing pushed it when the batch ahead of it finished")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	r.Quiesce()
+	for i := range r.out {
+		ob = &r.out[i]
+		if staged, inflight := outbox(); staged || inflight != 0 {
+			t.Errorf("outbox %d after Quiesce: staged=%v inflight=%d, want empty", i, staged, inflight)
+		}
+	}
+}
+
+// TestShardedRejectedPushRetires pins the shutdown path of the in-flight
+// accounting: a batch the engine rejects retires like a delivered one,
+// and the batch staged behind it is then pushed, rejected and retired
+// in turn. With FlushSize 2, a write fanning out to three holders
+// detaches one full batch and stages its third envelope behind it.
+func TestShardedRejectedPushRetires(t *testing.T) {
+	g := sharegraph.FullReplication(4, 1)
+	p, err := core.NewEdgeIndexed(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(g, p, Options{Spaces: 1, FlushSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	r.eng.Close() // from here on the engine rejects every push
+	if err := r.Write(0, 0, g.Registers()[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	ob := &r.out[0]
+	ob.mu.Lock()
+	staged, inflight := ob.cur != nil, ob.inflight
+	ob.mu.Unlock()
+	if staged || inflight != 0 {
+		t.Errorf("outbox after rejected pushes: staged=%v inflight=%d, want empty", staged, inflight)
+	}
+	if st := r.Stats(); st.Batches != 0 {
+		t.Errorf("rejected batches counted as accepted: %+v", st)
+	}
+	if live := r.meta.Live(); live != 0 {
+		t.Errorf("%d metadata buffers never returned to the pool", live)
 	}
 }
 
@@ -192,8 +259,8 @@ func TestShardedConcurrentMixedSpaces(t *testing.T) {
 
 // TestShardedBatchingSteadyStateZeroAlloc asserts the acceptance
 // criterion: once warmed, staging a write, flushing its batch and
-// delivering it end to end performs no allocation. Single worker and a
-// parked idle flusher keep the measurement stable; the cycle ends with
+// delivering it end to end performs no allocation. A single worker keeps
+// the measurement stable; the cycle ends with
 // Quiesce so every Meta buffer returns to the pool before the next
 // cycle draws from it.
 func TestShardedBatchingSteadyStateZeroAlloc(t *testing.T) {
@@ -202,7 +269,7 @@ func TestShardedBatchingSteadyStateZeroAlloc(t *testing.T) {
 	}
 	r := newRing(t, 4, Options{
 		Spaces: 2, Shards: 1, Workers: 1,
-		FlushSize: 16, FlushInterval: time.Hour, Seed: 1,
+		FlushSize: 16, Seed: 1,
 	})
 	defer r.Close()
 	g := r.Graph()

@@ -136,23 +136,24 @@
 // stages envelopes into its shard's outbox, and one engine message
 // carries up to FlushSize of them (metadata copied through the same
 // recycling pool as the cluster transport, so the staged-write →
-// flush → deliver cycle is allocation-free in steady state, asserted
-// by the shard package's zero-alloc test). A partial batch never
-// waits longer than FlushInterval — an idle flusher sweeps outboxes —
-// and Sync flushes everything before draining, so batching changes
-// throughput, never visibility at quiescence. The wire codec carries
-// the same aggregation across process boundaries as a Batch frame
-// (wire.AppendBatch / DecodeBatch): many space-tagged envelopes in one
-// length-prefixed frame, one future network write.
+// push → deliver cycle is allocation-free in steady state, asserted
+// by the shard package's zero-alloc test). Batching is self-clocked,
+// like a group commit: a shard's staged batch leaves as soon as none
+// of the shard's earlier batches is in flight — at once on an idle
+// shard, otherwise when the delivery ahead of it finishes — and
+// envelopes staged meanwhile ride along. No timer is involved: an
+// update waits only for its shard's deliveries already in flight, and
+// Sync is a plain drain. The wire codec carries the same aggregation
+// across process boundaries as a Batch frame (wire.AppendBatch /
+// DecodeBatch): many space-tagged envelopes in one length-prefixed
+// frame, one future network write.
 //
-// Batching loses when it cannot fill: a latency-sensitive workload
-// writing sparsely across many idle spaces pays up to FlushInterval of
-// staging delay per update for no aggregation win, and FlushSize 1
-// (which disables batching) is the better setting there. It wins when
-// load concentrates — many writes per shard per interval, as in the
-// zipf-skewed multi-tenant workloads workload.GenerateMulti produces —
-// where it amortizes the engine's per-message handoff across dozens of
-// envelopes (Stats reports the achieved batch sizes).
+// Batches grow with load: a sparse workload sends one envelope per
+// batch and pays only the outbox lock over unbatched delivery, while a
+// loaded shard — many writes per delivery, as in the zipf-skewed
+// multi-tenant workloads workload.GenerateMulti produces — amortizes
+// the engine's per-message handoff across many envelopes (Metrics
+// reports the achieved batch sizes). FlushSize 1 disables batching.
 //
 // # Observability
 //
@@ -634,15 +635,6 @@ func (c *Cluster) Check() error {
 // always, per-replica and per-edge breakdowns when
 // ClusterOptions.Metrics (or LoadAware) armed the registry.
 func (c *Cluster) Metrics() Metrics { return c.inner.Metrics() }
-
-// Stats reports transport-level counters.
-//
-// Deprecated: use Metrics, whose Messages and MetaBytes fields carry
-// the same totals in the unified cross-runtime snapshot schema.
-func (c *Cluster) Stats() (messages int64, metaBytes int64) {
-	m := c.Metrics()
-	return m.Messages, m.MetaBytes
-}
 
 // Workers returns the delivery worker-pool size.
 func (c *Cluster) Workers() int { return c.inner.Workers() }

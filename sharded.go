@@ -3,7 +3,6 @@ package prcc
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/shard"
 )
@@ -26,12 +25,11 @@ type ShardOptions struct {
 	// InboxCapacity bounds each shard's inbox in batches (default
 	// 1024). Writes block while their shard's inbox is full.
 	InboxCapacity int
-	// FlushSize is the envelope count that flushes a staged batch
-	// (default 32); 1 disables batching.
+	// FlushSize caps a batch: a staged batch that reaches it is pushed
+	// even while another batch of its shard is in flight (default 32);
+	// 1 disables batching. Below the cap a batch leaves once none of
+	// its shard's batches is in flight.
 	FlushSize int
-	// FlushInterval bounds how long a partial batch may sit staged
-	// before the idle flusher pushes it (default 1ms).
-	FlushInterval time.Duration
 	// Seed drives the engine's per-inbox delivery shuffles.
 	Seed int64
 	// Audit arms one causality oracle per space. Unlike Cluster, the
@@ -61,7 +59,6 @@ func (s *System) ShardedWith(opts ShardOptions) (*ShardedSystem, error) {
 		Workers:       opts.Workers,
 		InboxCapacity: opts.InboxCapacity,
 		FlushSize:     opts.FlushSize,
-		FlushInterval: opts.FlushInterval,
 		Seed:          opts.Seed,
 		Audit:         opts.Audit,
 		Metrics:       opts.Metrics,
@@ -120,8 +117,8 @@ func (s *ShardedSystem) Read(space int, r ReplicaID, x Register) (Value, bool) {
 	return s.inner.Read(space, r, x)
 }
 
-// Sync blocks until every staged batch has been flushed and every
-// in-flight batch delivered and applied, across all spaces.
+// Sync blocks until every staged and in-flight batch has been
+// delivered and applied, across all spaces.
 func (s *ShardedSystem) Sync() { s.inner.Quiesce() }
 
 // Check audits every space's execution against its causality oracle and
@@ -154,17 +151,6 @@ func (s *ShardedSystem) Snapshot(space int) []map[Register]Value {
 // "replica i of every space"); queue gauges are per engine shard.
 func (s *ShardedSystem) Metrics() Metrics { return s.inner.Metrics() }
 
-// Stats reports the batching efficiency counters: engine messages
-// (batches pushed), envelopes carried, and metadata bytes copied.
-//
-// Deprecated: use Metrics, whose Batches, Envelopes and MetaBytes
-// fields carry the same totals in the unified cross-runtime snapshot
-// schema.
-func (s *ShardedSystem) Stats() (batches, envelopes, metaBytes int64) {
-	m := s.Metrics()
-	return m.Batches, m.Envelopes, m.MetaBytes
-}
-
-// Close flushes staged batches, drains the engine and stops the shared
-// worker pool; no goroutines outlive it. Idempotent.
+// Close drains the engine, staged batches included, and stops the
+// shared worker pool; no goroutines outlive it. Idempotent.
 func (s *ShardedSystem) Close() { s.inner.Close() }

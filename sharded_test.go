@@ -102,8 +102,16 @@ func TestShardedMatchesCluster(t *testing.T) {
 		x Register
 		v Value
 	}
+	// Each register is written twice from different replicas. The Sync
+	// after the first three writes puts each second write in the causal
+	// future of the first, so both runtimes must end with the second
+	// value; concurrent writes would leave the winner to the schedule.
 	ops := []op{{0, "x", 1}, {1, "y", 2}, {2, "z", 3}, {1, "x", 4}, {2, "y", 5}, {3, "z", 6}}
-	for _, o := range ops {
+	for i, o := range ops {
+		if i == 3 {
+			sh.Sync()
+			cl.Sync()
+		}
 		if err := sh.Write(1, o.r, o.x, o.v); err != nil {
 			t.Fatal(err)
 		}
